@@ -1,9 +1,6 @@
 #include "clean/detector.h"
 
-#include <utility>
-
 #include "common/thread_pool.h"
-#include "text/tokenize.h"
 
 namespace visclean {
 
@@ -28,20 +25,20 @@ void RowTokenCache::Ensure(const Table& table, const std::vector<size_t>& rows,
   }
   if (missing.empty()) return;
 
-  // Tokenization is a pure chunk kernel with indexed writes; it rides the
-  // kNN queue (same consumers, same fairness domain) when batched.
-  std::vector<std::set<std::string>> computed(missing.size());
+  // Building the row strings is a pure chunk kernel with indexed writes; it
+  // rides the kNN queue (same consumers, same fairness domain) when
+  // batched. Interning is serial, in `rows` order.
+  std::vector<std::string> strings(missing.size());
   const size_t min_parallel =
       env.pool != nullptr ? 2 * env.pool->num_threads() : 2;
   RunKernel(KernelKind::kKnnQuery, env, missing.size(), min_parallel,
             [&](size_t begin, size_t end) {
               for (size_t i = begin; i < end; ++i) {
-                computed[i] =
-                    TokenSet(WordTokens(RowAsString(table, missing[i])));
+                strings[i] = RowAsString(table, missing[i]);
               }
             });
   for (size_t i = 0; i < missing.size(); ++i) {
-    tokens_[missing[i]] = std::move(computed[i]);
+    tokens_[missing[i]] = interner_.WordIds(strings[i]);
   }
 }
 

@@ -9,13 +9,13 @@
 #ifndef VISCLEAN_CLEAN_DETECTOR_H_
 #define VISCLEAN_CLEAN_DETECTOR_H_
 
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/kernel_scheduler.h"
 #include "data/table.h"
+#include "text/tokenize.h"
 
 namespace visclean {
 
@@ -56,22 +56,29 @@ class Detector {
   }
 };
 
-/// \brief Cross-iteration cache of per-row word-token sets.
+/// \brief Cross-iteration cache of per-row word-token id lists.
 ///
 /// Both kNN detectors tokenize the concatenation of every attribute of a
-/// row (the paper's Q_M/Q_O recipe). The sets are pure functions of the row
-/// values, so they are shared between detectors and survive across
-/// iterations; Invalidate drops exactly the dirty rows.
+/// row (the paper's Q_M/Q_O recipe). Each row's token set is kept as the
+/// sorted id list of its tokens in the cache's own append-only interner, so
+/// kNN distances are list merges (bit-identical to the string-set Jaccard).
+/// The lists are pure functions of the row values, so they are shared
+/// between detectors and survive across iterations; Invalidate drops
+/// exactly the dirty rows (their ids stay interned).
 class RowTokenCache {
  public:
-  /// Drops every cached set (full-rescan path without a known dirty set).
-  void Clear() { tokens_.clear(); }
+  /// Drops every cached list and the interner (full-rescan path without a
+  /// known dirty set).
+  void Clear() {
+    tokens_.clear();
+    interner_.Clear();
+  }
 
-  /// Drops the sets of the given rows only.
+  /// Drops the lists of the given rows only.
   void Invalidate(const std::vector<size_t>& dirty_rows);
 
-  /// Ensures a token set exists for every row in `rows`; missing ones are
-  /// computed (routed through `env`, merged by index).
+  /// Ensures an id list exists for every row in `rows`; missing ones are
+  /// computed (row strings routed through `env`, interned in row order).
   void Ensure(const Table& table, const std::vector<size_t>& rows,
               const KernelEnv& env);
 
@@ -81,15 +88,17 @@ class RowTokenCache {
     Ensure(table, rows, KernelEnv{pool, nullptr, nullptr});
   }
 
-  /// Token set of a row previously passed to Ensure.
-  const std::set<std::string>& tokens(size_t row) const {
-    return tokens_.at(row);
-  }
+  /// Sorted token-id list of a row previously passed to Ensure.
+  const TokenIdList& tokens(size_t row) const { return tokens_.at(row); }
+
+  /// The dictionary behind the ids (tests decode lists through it).
+  const TokenInterner& interner() const { return interner_; }
 
   size_t size() const { return tokens_.size(); }
 
  private:
-  std::unordered_map<size_t, std::set<std::string>> tokens_;
+  std::unordered_map<size_t, TokenIdList> tokens_;
+  TokenInterner interner_;
 };
 
 /// Concatenated display strings of every column of the row — the shared

@@ -123,10 +123,10 @@ void MissingDetector::Generate(const Table& table, const KernelEnv& env) {
     }
     double mean = count > 0 ? sum / static_cast<double>(count) : 0.0;
 
-    // Corpus = every live row (ascending ids), token sets from the shared
-    // cache (only rows without a cached set are tokenized).
+    // Corpus = every live row (ascending ids), token-id lists from the
+    // shared cache (only rows without a cached list are tokenized).
     tokens_->Ensure(table, rows, env);
-    std::vector<const std::set<std::string>*> corpus_tokens;
+    std::vector<const TokenIdList*> corpus_tokens;
     corpus_tokens.reserve(rows.size());
     for (size_t r : rows) corpus_tokens.push_back(&tokens_->tokens(r));
 

@@ -151,7 +151,7 @@ void OutlierDetector::Generate(const Table& table, const KernelEnv& env) {
     if (!asked.empty()) {
       // Corpus = the non-null live rows (ascending ids), shared token cache.
       tokens_->Ensure(table, rows, env);
-      std::vector<const std::set<std::string>*> corpus_tokens;
+      std::vector<const TokenIdList*> corpus_tokens;
       corpus_tokens.reserve(rows.size());
       for (size_t r : rows) corpus_tokens.push_back(&tokens_->tokens(r));
 

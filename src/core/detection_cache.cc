@@ -33,7 +33,7 @@ void DetectionCache::BeginIteration(const Table& table,
   bool full = !primed_ || fingerprint != fingerprint_;
   std::vector<size_t> dirty;
   if (primed_) {
-    // Token sets and feature vectors are pure functions of the row values —
+    // Token lists and feature vectors are pure functions of the row values —
     // independent of the detection config — so even a fingerprint-forced
     // full scan only drops the dirty rows from them.
     dirty = table.MutatedRowsSince(watermark_);

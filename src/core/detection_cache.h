@@ -67,7 +67,7 @@ struct DetectionStats {
 /// table's mutation journal.
 ///
 /// Owned state, all invalidated per dirty row only:
-///  * RowTokenCache — per-row token sets shared by both kNN detectors;
+///  * RowTokenCache — per-row token-id lists shared by both kNN detectors;
 ///  * BlockingDetector — blocking keys, blocks, pair refcounts;
 ///  * Missing/OutlierDetector — per-query kNN neighbor lists;
 ///  * PairFeatureCache — per-pair feature vectors (lent to TrainStage).

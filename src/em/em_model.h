@@ -25,8 +25,8 @@ struct ScoredPair {
 /// \brief Random-forest entity matcher with incremental labeling.
 ///
 /// Before any user labels exist the model bootstraps itself with weak
-/// supervision: candidate pairs whose mean text similarity is very high
-/// (>= 0.9) become positive seeds and very low (<= 0.2) negative seeds.
+/// supervision: candidate pairs whose mean feature value is very high
+/// (>= 0.9) become positive seeds and low (<= 0.35) negative seeds.
 /// This mirrors how practical EM loops (Magellan-style) are warm-started,
 /// and gives the active learner a meaningful uncertainty ranking in
 /// iteration 1.

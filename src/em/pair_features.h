@@ -37,8 +37,10 @@ size_t PairFeatureArity(const Schema& schema);
 /// valid across iterations until either row mutates. Retrain/ScoreAll fetch
 /// whole candidate lists through Batch; only the misses are computed (fanned
 /// over the pool, merged by index), so per-iteration feature-extraction cost
-/// scales with the dirty rows, not the candidate count. Keys require row ids
-/// below 2^32 (checked).
+/// scales with the dirty rows, not the candidate count. A Batch call first
+/// tokenizes each row its misses touch once — display strings, word-token
+/// ids, 3-gram ids — and drops those signatures on return, so nothing but
+/// the vectors outlives the call. Keys require row ids below 2^32 (checked).
 class PairFeatureCache {
  public:
   /// Drops everything.

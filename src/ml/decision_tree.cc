@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/status.h"
 
@@ -19,10 +20,18 @@ double Gini(size_t positives, size_t total) {
 
 void DecisionTree::Fit(const std::vector<Example>& examples,
                        const TreeOptions& options, Rng* rng) {
-  VC_CHECK(!examples.empty(), "DecisionTree::Fit requires examples");
-  nodes_.clear();
   std::vector<size_t> indices(examples.size());
   for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  Fit(examples, std::move(indices), options, rng);
+}
+
+void DecisionTree::Fit(const std::vector<Example>& examples,
+                       std::vector<size_t> indices, const TreeOptions& options,
+                       Rng* rng) {
+  VC_CHECK(!indices.empty(), "DecisionTree::Fit requires examples");
+  nodes_.clear();
+  // Build only ever reads examples[indices[i]] and permutes `indices`, so a
+  // bag given by index walks exactly the values a gathered copy would.
   Build(indices, 0, indices.size(), examples, options, 0, rng);
 }
 

@@ -47,6 +47,13 @@ class DecisionTree {
   void Fit(const std::vector<Example>& examples, const TreeOptions& options,
            Rng* rng);
 
+  /// Fits the tree on the multiset examples[indices[0]], ...,
+  /// examples[indices[n-1]] — a bootstrap bag drawn by index, so no example
+  /// is copied. Bit-identical to Fit on the gathered vector. Requires a
+  /// nonempty `indices`.
+  void Fit(const std::vector<Example>& examples, std::vector<size_t> indices,
+           const TreeOptions& options, Rng* rng);
+
   /// P(label = 1 | features) for one instance.
   double PredictProbability(const std::vector<double>& features) const;
 

@@ -21,11 +21,12 @@ bool NeighborLess(const Neighbor& a, const Neighbor& b) {
 
 // Exact top-k over the whole corpus, Neighbor::index = row id. Identical
 // math and ordering to NearestNeighborsByTokens (corpus rows ascend, so
-// position order == row-id order).
+// position order == row-id order; (distance, row) is a total order, so the
+// partial sort's prefix is the full sort's).
 std::vector<Neighbor> KnnOverCorpus(
-    size_t query_row, const std::set<std::string>& query_tokens, size_t k,
+    size_t query_row, const TokenIdList& query_tokens, size_t k,
     const std::vector<size_t>& corpus_rows,
-    const std::vector<const std::set<std::string>*>& corpus_tokens) {
+    const std::vector<const TokenIdList*>& corpus_tokens) {
   std::vector<Neighbor> all;
   all.reserve(corpus_rows.size());
   for (size_t i = 0; i < corpus_rows.size(); ++i) {
@@ -33,8 +34,10 @@ std::vector<Neighbor> KnnOverCorpus(
     all.push_back(
         {corpus_rows[i], 1.0 - JaccardSimilarity(query_tokens, *corpus_tokens[i])});
   }
-  std::sort(all.begin(), all.end(), NeighborLess);
-  if (all.size() > k) all.resize(k);
+  const size_t keep = std::min(k, all.size());
+  std::partial_sort(all.begin(), all.begin() + static_cast<ptrdiff_t>(keep),
+                    all.end(), NeighborLess);
+  all.resize(keep);
   return all;
 }
 
@@ -92,7 +95,7 @@ void TokenKnnCache::BeginEpoch(const std::vector<size_t>& dirty_rows) {
 std::vector<std::vector<Neighbor>> TokenKnnCache::BatchQuery(
     const std::vector<size_t>& query_rows, size_t k,
     const std::vector<size_t>& corpus_rows,
-    const std::vector<const std::set<std::string>*>& corpus_tokens,
+    const std::vector<const TokenIdList*>& corpus_tokens,
     const KernelEnv& env) {
   auto corpus_pos = [&](size_t row) -> ptrdiff_t {
     auto it = std::lower_bound(corpus_rows.begin(), corpus_rows.end(), row);
@@ -125,7 +128,7 @@ std::vector<std::vector<Neighbor>> TokenKnnCache::BatchQuery(
         return std::binary_search(epoch_dirty_.begin(), epoch_dirty_.end(),
                                   nb.index);
       });
-      const std::set<std::string>& q_tokens = *corpus_tokens[corpus_pos(q)];
+      const TokenIdList& q_tokens = *corpus_tokens[corpus_pos(q)];
       for (size_t d : epoch_dirty_) {
         if (d == q) continue;
         ptrdiff_t pos = corpus_pos(d);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/kernel_scheduler.h"
+#include "text/tokenize.h"
 
 namespace visclean {
 
@@ -35,7 +36,7 @@ std::vector<Neighbor> NearestNeighborsByTokens(
     const std::set<std::string>& query, size_t k, ptrdiff_t exclude_index = -1);
 
 /// \brief Cross-iteration cache of exact kNN neighbor lists over a
-/// token-set corpus keyed by stable row ids.
+/// token-id-list corpus keyed by stable row ids.
 ///
 /// The detectors issue the same queries every iteration while only a
 /// handful of rows change. The cache keeps each query's top-2k list
@@ -50,9 +51,11 @@ std::vector<Neighbor> NearestNeighborsByTokens(
 ///    row was just merged — so the cut prefix is exactly the corpus top
 ///    ranking down to the boundary. Only when that prefix shrinks below k
 ///    (too many members went dirty) does the query recompute.
-/// Both paths order by ascending (distance, row id); since detector corpora
-/// are ascending row-id vectors, this matches NearestNeighborsByTokens'
-/// (distance, position) order bit for bit.
+/// Both paths order by ascending (distance, row id) — a full recompute
+/// partial-sorts only the top 2k under it; since detector corpora are
+/// ascending row-id vectors and id-list Jaccards equal the string-set ones,
+/// this matches NearestNeighborsByTokens' (distance, position) order bit
+/// for bit.
 class TokenKnnCache {
  public:
   /// Drops every cached list (full-rescan path).
@@ -65,21 +68,22 @@ class TokenKnnCache {
 
   /// Neighbor lists (row-id indexed, ascending (distance, row), length
   /// <= k) for every query row, against the corpus given as ascending row
-  /// ids plus their token sets. Every query row must itself be a corpus
-  /// member (it is excluded from its own list). Cache misses route through
-  /// `env` as a KernelKind::kKnnQuery kernel (cross-session batcher, pool,
-  /// or inline); results are independent of the execution strategy.
+  /// ids plus their token-id lists (all from one interner). Every query row
+  /// must itself be a corpus member (it is excluded from its own list).
+  /// Cache misses route through `env` as a KernelKind::kKnnQuery kernel
+  /// (cross-session batcher, pool, or inline); results are independent of
+  /// the execution strategy.
   std::vector<std::vector<Neighbor>> BatchQuery(
       const std::vector<size_t>& query_rows, size_t k,
       const std::vector<size_t>& corpus_rows,
-      const std::vector<const std::set<std::string>*>& corpus_tokens,
+      const std::vector<const TokenIdList*>& corpus_tokens,
       const KernelEnv& env);
 
   /// Pool-only convenience overload (tests, standalone callers).
   std::vector<std::vector<Neighbor>> BatchQuery(
       const std::vector<size_t>& query_rows, size_t k,
       const std::vector<size_t>& corpus_rows,
-      const std::vector<const std::set<std::string>*>& corpus_tokens,
+      const std::vector<const TokenIdList*>& corpus_tokens,
       ThreadPool* pool) {
     return BatchQuery(query_rows, k, corpus_rows, corpus_tokens,
                       KernelEnv{pool, nullptr, nullptr});

@@ -1,6 +1,7 @@
 #include "ml/random_forest.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/status.h"
 
@@ -15,17 +16,16 @@ void RandomForest::Fit(const std::vector<Example>& examples, uint64_t seed) {
                              static_cast<double>(examples.size())));
   // The bag draws and the per-tree Fit consume `rng` in exactly the order
   // the legacy tree-vector implementation did, so fitted forests (and
-  // everything downstream of their predictions) are bit-identical.
+  // everything downstream of their predictions) are bit-identical. Each
+  // bag is a list of draws into `examples`, never a copy of them.
   for (size_t t = 0; t < options_.num_trees; ++t) {
-    std::vector<Example> bag;
-    bag.reserve(bag_size);
-    for (size_t i = 0; i < bag_size; ++i) {
-      size_t idx = static_cast<size_t>(
+    std::vector<size_t> bag(bag_size);
+    for (size_t& idx : bag) {
+      idx = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(examples.size()) - 1));
-      bag.push_back(examples[idx]);
     }
     DecisionTree tree;
-    tree.Fit(bag, options_.tree, &rng);
+    tree.Fit(examples, std::move(bag), options_.tree, &rng);
     flat_.AddTree(tree.nodes());
   }
 }

@@ -5,6 +5,10 @@
 #include <utility>
 #include <vector>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "serve/kernel_batcher.h"
@@ -283,8 +287,15 @@ Status SessionManager::RestoreResident(Entry& entry) {
   return Status::Ok();
 }
 
+void SessionManager::ReleaseFreedMemory() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
+
 void SessionManager::MaybeEvict() {
   if (options_.snapshot_dir.empty()) return;
+  bool evicted = false;
   while (resident_.load() > options_.max_resident_sessions) {
     // Pick the least-recently-touched resident entry we can lock without
     // blocking (a thread holding map_mu_ must never wait on an entry).
@@ -303,17 +314,19 @@ void SessionManager::MaybeEvict() {
         oldest = touch;
       }
     }
-    if (!victim) return;  // everything busy or already evicted
+    if (!victim) break;  // everything busy or already evicted
 
     Result<SessionSnapshotState> state = victim->session->CaptureState();
-    if (!state.ok()) return;
+    if (!state.ok()) break;
     Status written = WriteSnapshotFile(EvictionPath(victim->id), state.value());
-    if (!written.ok()) return;
+    if (!written.ok()) break;
     victim->session.reset();
     victim->info.resident = false;
     resident_.fetch_sub(1);
     c_evictions_->Add(1);
+    evicted = true;
   }
+  if (evicted) ReleaseFreedMemory();
 }
 
 void SessionManager::PersistLocked(Entry& entry) {
@@ -566,6 +579,8 @@ Result<std::string> SessionManager::ExportSession(const std::string& id,
     if (!options_.snapshot_dir.empty()) {
       std::remove(EvictionPath(id).c_str());  // best-effort cleanup
     }
+    locked.value().lock.unlock();
+    ReleaseFreedMemory();
   }
   return bytes;
 }
@@ -612,15 +627,20 @@ Status SessionManager::Close(const std::string& id) {
     entry = std::move(it->second);
     sessions_.erase(it);
   }
-  std::lock_guard<std::mutex> lock(entry->mu);
-  entry->closed = true;
-  if (entry->session) {
-    entry->session.reset();
-    resident_.fetch_sub(1);
+  bool destroyed = false;
+  {
+    std::lock_guard<std::mutex> lock(entry->mu);
+    entry->closed = true;
+    if (entry->session) {
+      entry->session.reset();
+      resident_.fetch_sub(1);
+      destroyed = true;
+    }
+    if (!options_.snapshot_dir.empty()) {
+      std::remove(EvictionPath(id).c_str());  // best-effort cleanup
+    }
   }
-  if (!options_.snapshot_dir.empty()) {
-    std::remove(EvictionPath(id).c_str());  // best-effort cleanup
-  }
+  if (destroyed) ReleaseFreedMemory();
   return Status::Ok();
 }
 

@@ -235,6 +235,12 @@ class SessionManager {
   Status RestoreResident(Entry& entry);
   void TouchLocked(Entry& entry);
   void MaybeEvict();
+  /// Hands the heap pages freed by destroyed sessions back to the OS
+  /// (glibc keeps them in its arenas otherwise, so resident memory would
+  /// track the number of sessions ever served, not the number live). Call
+  /// after Close, eviction or export-with-remove has destroyed a session,
+  /// once that session's lock is released.
+  static void ReleaseFreedMemory();
   void PersistLocked(Entry& entry);
   Result<SessionInfo> AdmitFromState(const std::string& id,
                                      const SessionSnapshotState& state);

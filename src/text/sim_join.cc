@@ -15,8 +15,6 @@ namespace visclean {
 
 namespace {
 
-using TokenIds = std::vector<int>;
-
 std::set<std::string> Tokenize(const std::string& s, bool use_qgrams) {
   return use_qgrams ? TokenSet(QGrams(s, 3)) : TokenSet(WordTokens(s));
 }
@@ -24,7 +22,7 @@ std::set<std::string> Tokenize(const std::string& s, bool use_qgrams) {
 // Maps tokens to integer ids ordered by global frequency ascending (rarest
 // first), the canonical prefix-filter ordering. Ties break lexicographically,
 // so the order is deterministic.
-std::unordered_map<std::string, int> FrequencyOrder(
+std::unordered_map<std::string, uint32_t> FrequencyOrder(
     const std::vector<std::set<std::string>>& sets) {
   std::map<std::string, size_t> freq;
   for (const auto& set : sets) {
@@ -34,15 +32,17 @@ std::unordered_map<std::string, int> FrequencyOrder(
   order.reserve(freq.size());
   for (const auto& [t, f] : freq) order.emplace_back(f, t);
   std::sort(order.begin(), order.end());
-  std::unordered_map<std::string, int> id;
+  std::unordered_map<std::string, uint32_t> id;
   id.reserve(order.size());
-  for (size_t i = 0; i < order.size(); ++i) id[order[i].second] = (int)i;
+  for (size_t i = 0; i < order.size(); ++i) {
+    id[order[i].second] = static_cast<uint32_t>(i);
+  }
   return id;
 }
 
-TokenIds SortedIds(const std::set<std::string>& set,
-                   const std::unordered_map<std::string, int>& id) {
-  TokenIds ids;
+TokenIdList SortedIds(const std::set<std::string>& set,
+                      const std::unordered_map<std::string, uint32_t>& id) {
+  TokenIdList ids;
   ids.reserve(set.size());
   for (const std::string& t : set) ids.push_back(id.at(t));
   std::sort(ids.begin(), ids.end());
@@ -50,36 +50,18 @@ TokenIds SortedIds(const std::set<std::string>& set,
 }
 
 // Tokenizes every string and assigns frequency-ordered ids.
-std::vector<TokenIds> BuildTokenIds(const std::vector<std::string>& a,
-                                    const std::vector<std::string>& b,
-                                    bool use_qgrams) {
+std::vector<TokenIdList> BuildTokenIds(const std::vector<std::string>& a,
+                                       const std::vector<std::string>& b,
+                                       bool use_qgrams) {
   std::vector<std::set<std::string>> sets;
   sets.reserve(a.size() + b.size());
   for (const std::string& s : a) sets.push_back(Tokenize(s, use_qgrams));
   for (const std::string& s : b) sets.push_back(Tokenize(s, use_qgrams));
-  std::unordered_map<std::string, int> id = FrequencyOrder(sets);
-  std::vector<TokenIds> out;
+  std::unordered_map<std::string, uint32_t> id = FrequencyOrder(sets);
+  std::vector<TokenIdList> out;
   out.reserve(sets.size());
   for (const auto& set : sets) out.push_back(SortedIds(set, id));
   return out;
-}
-
-double JaccardOfSorted(const TokenIds& x, const TokenIds& y) {
-  if (x.empty() && y.empty()) return 1.0;
-  size_t inter = 0, i = 0, j = 0;
-  while (i < x.size() && j < y.size()) {
-    if (x[i] == y[j]) {
-      ++inter;
-      ++i;
-      ++j;
-    } else if (x[i] < y[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  size_t uni = x.size() + y.size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / uni;
 }
 
 size_t PrefixLength(size_t set_size, double threshold) {
@@ -103,12 +85,12 @@ void SortPairs(std::vector<SimJoinPair>* out) {
             });
 }
 
-std::vector<SimJoinPair> JoinImpl(const std::vector<TokenIds>& left_ids,
-                                  const std::vector<TokenIds>& right_ids,
+std::vector<SimJoinPair> JoinImpl(const std::vector<TokenIdList>& left_ids,
+                                  const std::vector<TokenIdList>& right_ids,
                                   double threshold, bool self_join,
                                   ThreadPool* pool) {
   // Inverted index over the prefix tokens of the right side.
-  std::unordered_map<int, std::vector<size_t>> index;
+  std::unordered_map<uint32_t, std::vector<size_t>> index;
   for (size_t j = 0; j < right_ids.size(); ++j) {
     size_t plen = PrefixLength(right_ids[j].size(), threshold);
     for (size_t p = 0; p < plen && p < right_ids[j].size(); ++p) {
@@ -137,7 +119,7 @@ std::vector<SimJoinPair> JoinImpl(const std::vector<TokenIds>& left_ids,
               threshold * static_cast<double>(std::max(lx, ly))) {
             continue;
           }
-          double sim = JaccardOfSorted(left_ids[i], right_ids[j]);
+          double sim = JaccardSimilarity(left_ids[i], right_ids[j]);
           if (sim >= threshold) out->push_back({i, j, sim});
         }
       }
@@ -174,10 +156,10 @@ std::vector<SimJoinPair> SimilarityJoin(const std::vector<std::string>& left,
                                         const std::vector<std::string>& right,
                                         const SimJoinOptions& options,
                                         ThreadPool* pool) {
-  std::vector<TokenIds> all =
+  std::vector<TokenIdList> all =
       BuildTokenIds(left, right, options.use_qgrams);
-  std::vector<TokenIds> left_ids(all.begin(), all.begin() + left.size());
-  std::vector<TokenIds> right_ids(all.begin() + left.size(), all.end());
+  std::vector<TokenIdList> left_ids(all.begin(), all.begin() + left.size());
+  std::vector<TokenIdList> right_ids(all.begin() + left.size(), all.end());
   return JoinImpl(left_ids, right_ids, options.threshold, /*self_join=*/false,
                   pool);
 }
@@ -185,7 +167,7 @@ std::vector<SimJoinPair> SimilarityJoin(const std::vector<std::string>& left,
 std::vector<SimJoinPair> SimilaritySelfJoin(
     const std::vector<std::string>& items, const SimJoinOptions& options,
     ThreadPool* pool) {
-  std::vector<TokenIds> ids = BuildTokenIds(items, {}, options.use_qgrams);
+  std::vector<TokenIdList> ids = BuildTokenIds(items, {}, options.use_qgrams);
   return JoinImpl(ids, ids, options.threshold, /*self_join=*/true, pool);
 }
 
@@ -213,7 +195,7 @@ void IncrementalSimJoin::Rebuild(const std::vector<std::string>& items,
     sets.push_back(Tokenize(s, options.use_qgrams));
   }
   token_id_ = FrequencyOrder(sets);
-  std::vector<TokenIds> ids;
+  std::vector<TokenIdList> ids;
   ids.reserve(items.size());
   for (const auto& set : sets) ids.push_back(SortedIds(set, token_id_));
   for (size_t i = 0; i < items.size(); ++i) {
@@ -249,7 +231,7 @@ void IncrementalSimJoin::ApplyDelta(const std::vector<std::string>& retracts,
 void IncrementalSimJoin::Insert(const std::string& spelling) {
   if (!primed_ || entries_.count(spelling) > 0) return;
   ++stats_.inserts;
-  TokenIds ids = TokenIdsOf(spelling);
+  TokenIdList ids = TokenIdsOf(spelling);
 
   // Probe the live prefix index for join partners among current spellings.
   // Completeness needs a shared prefix token under the common (frozen +
@@ -261,13 +243,13 @@ void IncrementalSimJoin::Insert(const std::string& spelling) {
     if (it == prefix_index_.end()) continue;
     for (const std::string& other : it->second) {
       if (!seen.insert(other).second) continue;
-      const TokenIds& oids = entries_.at(other);
+      const TokenIdList& oids = entries_.at(other);
       size_t lx = ids.size(), ly = oids.size();
       if (static_cast<double>(std::min(lx, ly)) <
           options_.threshold * static_cast<double>(std::max(lx, ly))) {
         continue;
       }
-      double sim = JaccardOfSorted(ids, oids);
+      double sim = JaccardSimilarity(ids, oids);
       if (sim < options_.threshold) continue;
       pairs_[PairKey(spelling, other)] = sim;
       partners_[spelling].insert(other);
@@ -284,7 +266,7 @@ void IncrementalSimJoin::Retract(const std::string& spelling) {
   auto it = entries_.find(spelling);
   if (!primed_ || it == entries_.end()) return;
   ++stats_.retracts;
-  const TokenIds& ids = it->second;
+  const TokenIdList& ids = it->second;
   size_t plen = PrefixLength(ids.size(), options_.threshold);
   for (size_t p = 0; p < plen && p < ids.size(); ++p) {
     auto pit = prefix_index_.find(ids[p]);
@@ -338,13 +320,13 @@ void IncrementalSimJoin::Clear() {
   result_cache_.clear();
 }
 
-IncrementalSimJoin::TokenIds IncrementalSimJoin::TokenIdsOf(
-    const std::string& spelling) {
+TokenIdList IncrementalSimJoin::TokenIdsOf(const std::string& spelling) {
   std::set<std::string> set = Tokenize(spelling, options_.use_qgrams);
-  TokenIds ids;
+  TokenIdList ids;
   ids.reserve(set.size());
   for (const std::string& t : set) {
-    auto [it, added] = token_id_.emplace(t, (int)token_id_.size());
+    auto [it, added] =
+        token_id_.emplace(t, static_cast<uint32_t>(token_id_.size()));
     if (added) ++stats_.token_appends;
     ids.push_back(it->second);
   }
@@ -353,7 +335,7 @@ IncrementalSimJoin::TokenIds IncrementalSimJoin::TokenIdsOf(
 }
 
 void IncrementalSimJoin::IndexPrefix(const std::string& spelling,
-                                     const TokenIds& ids) {
+                                     const TokenIdList& ids) {
   size_t plen = PrefixLength(ids.size(), options_.threshold);
   for (size_t p = 0; p < plen && p < ids.size(); ++p) {
     prefix_index_[ids[p]].insert(spelling);

@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "text/tokenize.h"
+
 namespace visclean {
 
 class ThreadPool;
@@ -159,18 +161,17 @@ class IncrementalSimJoin {
   const SimJoinStats& stats() const { return stats_; }
 
  private:
-  using TokenIds = std::vector<int>;
-
-  TokenIds TokenIdsOf(const std::string& spelling);
-  void IndexPrefix(const std::string& spelling, const TokenIds& ids);
+  TokenIdList TokenIdsOf(const std::string& spelling);
+  void IndexPrefix(const std::string& spelling, const TokenIdList& ids);
   void Materialize() const;
 
   bool primed_ = false;
   SimJoinOptions options_;
   SimJoinStats stats_;
-  std::unordered_map<std::string, int> token_id_;  ///< frozen order + appends
-  std::map<std::string, TokenIds> entries_;        ///< live spelling -> ids
-  std::unordered_map<int, std::set<std::string>> prefix_index_;
+  /// Frozen frequency order plus appends.
+  std::unordered_map<std::string, uint32_t> token_id_;
+  std::map<std::string, TokenIdList> entries_;  ///< live spelling -> ids
+  std::unordered_map<uint32_t, std::set<std::string>> prefix_index_;
   std::map<std::pair<std::string, std::string>, double> pairs_;
   std::map<std::string, std::set<std::string>> partners_;  ///< for retracts
 

@@ -14,8 +14,11 @@
 //    sim-join memo, dirty-fraction fallback, rolled-back resync).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -427,20 +430,51 @@ TEST(DetectionCacheTest, ResyncSkipsRolledBackJournalNoise) {
 
 // --------------------------------------------------------- cache unit tests
 
-std::vector<std::set<std::string>> Tokenized(
-    const std::vector<std::string>& items) {
-  std::vector<std::set<std::string>> out;
+// Word-token id lists of `items`, every list from the one `interner` (the
+// form RowTokenCache hands TokenKnnCache).
+std::vector<TokenIdList> Tokenized(const std::vector<std::string>& items,
+                                   TokenInterner* interner) {
+  std::vector<TokenIdList> out;
   out.reserve(items.size());
-  for (const std::string& s : items) out.push_back(TokenSet(WordTokens(s)));
+  for (const std::string& s : items) out.push_back(interner->WordIds(s));
   return out;
 }
 
-std::vector<const std::set<std::string>*> Pointers(
-    const std::vector<std::set<std::string>>& sets) {
-  std::vector<const std::set<std::string>*> out;
-  out.reserve(sets.size());
-  for (const auto& s : sets) out.push_back(&s);
+std::vector<const TokenIdList*> Pointers(
+    const std::vector<TokenIdList>& lists) {
+  std::vector<const TokenIdList*> out;
+  out.reserve(lists.size());
+  for (const auto& l : lists) out.push_back(&l);
   return out;
+}
+
+// The string-set reference: each corpus row's top-k by
+// NearestNeighborsByTokens over TokenSet(WordTokens(.)), positions mapped
+// to row ids (corpus rows ascend, so the orders agree).
+std::vector<std::vector<Neighbor>> ReferenceKnn(
+    const std::vector<std::string>& items, const std::vector<size_t>& corpus,
+    size_t k) {
+  std::vector<std::set<std::string>> sets;
+  for (size_t r : corpus) sets.push_back(TokenSet(WordTokens(items[r])));
+  std::vector<std::vector<Neighbor>> out;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    out.push_back(NearestNeighborsByTokens(sets, sets[i], k,
+                                           static_cast<ptrdiff_t>(i)));
+    for (Neighbor& nb : out.back()) nb.index = corpus[nb.index];
+  }
+  return out;
+}
+
+void ExpectSameLists(const std::vector<std::vector<Neighbor>>& got,
+                     const std::vector<std::vector<Neighbor>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t q = 0; q < got.size(); ++q) {
+    ASSERT_EQ(got[q].size(), want[q].size()) << q;
+    for (size_t i = 0; i < got[q].size(); ++i) {
+      EXPECT_EQ(got[q][i].index, want[q][i].index) << q;
+      EXPECT_EQ(got[q][i].distance, want[q][i].distance) << q;
+    }
+  }
 }
 
 TEST(TokenKnnCacheTest, MergeEpochMatchesFreshRecompute) {
@@ -449,32 +483,28 @@ TEST(TokenKnnCacheTest, MergeEpochMatchesFreshRecompute) {
       "database cleaning rules", "visual cleaning questions",
       "graph systems learning",  "cleaning questions systems"};
   std::vector<size_t> rows = {0, 1, 2, 3, 4, 5};
-  std::vector<std::set<std::string>> sets = Tokenized(items);
+  TokenInterner interner;
+  std::vector<TokenIdList> lists = Tokenized(items, &interner);
 
   TokenKnnCache cache;
   std::vector<std::vector<Neighbor>> before =
-      cache.BatchQuery(rows, 3, rows, Pointers(sets), nullptr);
+      cache.BatchQuery(rows, 3, rows, Pointers(lists), nullptr);
   EXPECT_EQ(cache.full_queries(), rows.size());
+  ExpectSameLists(before, ReferenceKnn(items, rows, 3));
 
   // Row 2 changes; every other query keeps its cached list and merges row 2.
   items[2] = "visual systems graphics";
-  sets = Tokenized(items);
+  lists = Tokenized(items, &interner);
   cache.BeginEpoch({2});
   std::vector<std::vector<Neighbor>> merged =
-      cache.BatchQuery(rows, 3, rows, Pointers(sets), nullptr);
+      cache.BatchQuery(rows, 3, rows, Pointers(lists), nullptr);
   EXPECT_GT(cache.merged_queries(), 0u);
 
   TokenKnnCache fresh;
   std::vector<std::vector<Neighbor>> reference =
-      fresh.BatchQuery(rows, 3, rows, Pointers(sets), nullptr);
-  ASSERT_EQ(merged.size(), reference.size());
-  for (size_t q = 0; q < merged.size(); ++q) {
-    ASSERT_EQ(merged[q].size(), reference[q].size()) << q;
-    for (size_t i = 0; i < merged[q].size(); ++i) {
-      EXPECT_EQ(merged[q][i].index, reference[q][i].index) << q;
-      EXPECT_EQ(merged[q][i].distance, reference[q][i].distance) << q;
-    }
-  }
+      fresh.BatchQuery(rows, 3, rows, Pointers(lists), nullptr);
+  ExpectSameLists(merged, reference);
+  ExpectSameLists(reference, ReferenceKnn(items, rows, 3));
 }
 
 // The 2k slack: lists must absorb member deaths/appends/edits without a
@@ -487,23 +517,24 @@ TEST(TokenKnnCacheTest, SlackAbsorbsDeathsAppendsAndEdits) {
   };
   std::vector<std::string> items;
   for (size_t i = 0; i < 20; ++i) items.push_back(make(i));
-  std::vector<std::set<std::string>> sets = Tokenized(items);
+  TokenInterner interner;
+  std::vector<TokenIdList> lists = Tokenized(items, &interner);
   std::vector<size_t> rows(items.size());
   std::iota(rows.begin(), rows.end(), 0);
 
   TokenKnnCache cache;
-  cache.BatchQuery(rows, 2, rows, Pointers(sets), nullptr);  // prime: 2k = 4
+  cache.BatchQuery(rows, 2, rows, Pointers(lists), nullptr);  // prime: 2k = 4
 
   // Epoch 1: row 7 dies, row 20 is appended, row 3 is rewritten.
   items[3] = "zeta eta theta";
   items.push_back("alpha beta gamma");
-  sets = Tokenized(items);
+  lists = Tokenized(items, &interner);
   std::vector<size_t> corpus;
-  std::vector<const std::set<std::string>*> ptrs;
+  std::vector<const TokenIdList*> ptrs;
   for (size_t r = 0; r < items.size(); ++r) {
     if (r == 7) continue;
     corpus.push_back(r);
-    ptrs.push_back(&sets[r]);
+    ptrs.push_back(&lists[r]);
   }
   cache.BeginEpoch({3, 7, 20});
   std::vector<std::vector<Neighbor>> merged =
@@ -513,14 +544,8 @@ TEST(TokenKnnCacheTest, SlackAbsorbsDeathsAppendsAndEdits) {
   TokenKnnCache fresh;
   std::vector<std::vector<Neighbor>> reference =
       fresh.BatchQuery(corpus, 2, corpus, ptrs, nullptr);
-  ASSERT_EQ(merged.size(), reference.size());
-  for (size_t q = 0; q < merged.size(); ++q) {
-    ASSERT_EQ(merged[q].size(), reference[q].size()) << q;
-    for (size_t i = 0; i < merged[q].size(); ++i) {
-      EXPECT_EQ(merged[q][i].index, reference[q][i].index) << q;
-      EXPECT_EQ(merged[q][i].distance, reference[q][i].distance) << q;
-    }
-  }
+  ExpectSameLists(merged, reference);
+  ExpectSameLists(reference, ReferenceKnn(items, corpus, 2));
 
   // Epoch 2: rewrite over half the corpus — many lists exhaust their slack
   // and must recompute; results still match a fresh cache exactly.
@@ -529,9 +554,9 @@ TEST(TokenKnnCacheTest, SlackAbsorbsDeathsAppendsAndEdits) {
     items[corpus[i]] = "omega " + vocab[i % 8];
     dirty.push_back(corpus[i]);
   }
-  sets = Tokenized(items);
+  lists = Tokenized(items, &interner);
   ptrs.clear();
-  for (size_t r : corpus) ptrs.push_back(&sets[r]);
+  for (size_t r : corpus) ptrs.push_back(&lists[r]);
   size_t full_before = cache.full_queries();
   cache.BeginEpoch(dirty);
   merged = cache.BatchQuery(corpus, 2, corpus, ptrs, nullptr);
@@ -539,14 +564,8 @@ TEST(TokenKnnCacheTest, SlackAbsorbsDeathsAppendsAndEdits) {
 
   TokenKnnCache fresh2;
   reference = fresh2.BatchQuery(corpus, 2, corpus, ptrs, nullptr);
-  ASSERT_EQ(merged.size(), reference.size());
-  for (size_t q = 0; q < merged.size(); ++q) {
-    ASSERT_EQ(merged[q].size(), reference[q].size()) << q;
-    for (size_t i = 0; i < merged[q].size(); ++i) {
-      EXPECT_EQ(merged[q][i].index, reference[q][i].index) << q;
-      EXPECT_EQ(merged[q][i].distance, reference[q][i].distance) << q;
-    }
-  }
+  ExpectSameLists(merged, reference);
+  ExpectSameLists(reference, ReferenceKnn(items, corpus, 2));
 }
 
 TEST(PairFeatureCacheTest, BatchMatchesDirectAndInvalidates) {
@@ -571,17 +590,85 @@ TEST(PairFeatureCacheTest, BatchMatchesDirectAndInvalidates) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// Each returned vector holds exactly PairFeatures' bytes for its pair.
+void ExpectMatchesPairFeatures(
+    const Table& table, const std::vector<std::pair<size_t, size_t>>& pairs,
+    const std::vector<const std::vector<double>*>& got) {
+  ASSERT_EQ(got.size(), pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [a, b] = pairs[i];
+    std::vector<double> want = PairFeatures(table, a, b);
+    ASSERT_EQ(got[i]->size(), want.size());
+    ASSERT_EQ(std::memcmp(got[i]->data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "pair (" << a << ", " << b << ")";
+  }
+}
+
+// Batch computes its misses from per-call row signatures (interned word
+// ids, packed 3-gram ids); every vector must equal PairFeatures' bytes on
+// every blocked pair, before and after repairs + Invalidate.
+TEST(PairFeatureCacheTest, BatchEqualsPairFeaturesOnEveryBlockedPair) {
+  ThreadPool pool(4);
+  for (const std::string dataset : {"D1", "D2", "D3"}) {
+    for (uint64_t seed : {21u, 22u}) {
+      SCOPED_TRACE(dataset + " seed=" + std::to_string(seed));
+      DirtyDataset data = MakeData(dataset, seed);
+      Table table = data.dirty.Clone();
+      std::vector<std::pair<size_t, size_t>> pairs =
+          TokenBlocking(table, BlockingFor(table));
+      ASSERT_FALSE(pairs.empty());
+      PairFeatureCache serial, pooled;
+      ExpectMatchesPairFeatures(table, pairs,
+                                serial.Batch(table, pairs, nullptr));
+      ExpectMatchesPairFeatures(table, pairs,
+                                pooled.Batch(table, pairs, &pool));
+
+      uint64_t watermark = table.mutation_count();
+      Rng rng(seed * 31 + 7);
+      ApplyRandomRepairs(&table, &rng, 30);
+      std::vector<size_t> dirty = table.MutatedRowsSince(watermark);
+      ASSERT_FALSE(dirty.empty());
+      serial.Invalidate(dirty);
+      pooled.Invalidate(dirty);
+      pairs = TokenBlocking(table, BlockingFor(table));
+      size_t misses_before = serial.misses();
+      ExpectMatchesPairFeatures(table, pairs,
+                                serial.Batch(table, pairs, nullptr));
+      ExpectMatchesPairFeatures(table, pairs,
+                                pooled.Batch(table, pairs, &pool));
+      EXPECT_GT(serial.misses(), misses_before);  // the repairs cost misses
+      EXPECT_GT(serial.hits(), 0u);               // and clean pairs survive
+    }
+  }
+}
+
 TEST(RowTokenCacheTest, EnsureComputesOnceAndInvalidatesPerRow) {
   DirtyDataset data = MakeData("D2", 4);
   const Table& table = data.dirty;
   RowTokenCache cache;
+  // The reference ids of a row: its string token set, looked up in the
+  // cache's interner and sorted. Equal lists mean equal sets (ids are
+  // injective), so this is the string-set check in id form.
+  auto reference_ids = [&](size_t row) {
+    TokenIdList ids;
+    for (const std::string& t : TokenSet(WordTokens(RowAsString(table, row)))) {
+      std::optional<uint32_t> id = cache.interner().Find(t);
+      EXPECT_TRUE(id.has_value()) << t;
+      if (id.has_value()) ids.push_back(*id);
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
   cache.Ensure(table, {0, 1, 2}, nullptr);
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.tokens(1), TokenSet(WordTokens(RowAsString(table, 1))));
+  for (size_t r : {0u, 1u, 2u}) EXPECT_EQ(cache.tokens(r), reference_ids(r));
   cache.Invalidate({1});
   EXPECT_EQ(cache.size(), 2u);
   cache.Ensure(table, {0, 1, 2}, nullptr);
   EXPECT_EQ(cache.size(), 3u);
+  for (size_t r : {0u, 1u, 2u}) EXPECT_EQ(cache.tokens(r), reference_ids(r));
 }
 
 // The parallel sim-join probe must match the serial one bit for bit.
